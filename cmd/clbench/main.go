@@ -88,13 +88,6 @@ type snapshot struct {
 	FusedPrograms     int64  `json:"fused_programs,omitempty"`
 	FusedInstrsBefore int64  `json:"fused_instrs_before,omitempty"`
 	FusedInstrsAfter  int64  `json:"fused_instrs_after,omitempty"`
-	// Dispatch is the VM dispatch mode launches resolved to (switch =
-	// the vmLoop switch, threaded = pre-resolved handler closures), with
-	// per-mode launch counters. Outputs are byte-identical across modes,
-	// so unlike Engine/FuelModel a mismatch here only affects speed.
-	Dispatch         string `json:"dispatch,omitempty"`
-	SwitchLaunches   int64  `json:"switch_launches,omitempty"`
-	ThreadedLaunches int64  `json:"threaded_launches,omitempty"`
 	// PoolHits and PoolMisses are the executor's launch-state pool
 	// counters over the run: acquisitions served from the freelist vs by
 	// constructing a fresh state. A steady-state run is almost all hits.
@@ -212,9 +205,7 @@ func main() {
 	storeDirFlag := flag.String("store", "",
 		"disk-backed result store directory (default $CLFUZZ_STORE; empty disables); the snapshot records its hit/miss/write counters")
 	opStatsFlag := flag.Bool("opstats", false,
-		"collect opcode and opcode-pair dispatch histograms from the Execute benchmarks and record them in the snapshot (forces the switch dispatch loop)")
-	dispatchFlag := flag.String("dispatch", "auto",
-		"VM dispatch mode for every launch: switch, threaded (pre-resolved handler closures), or auto (CLFUZZ_DISPATCH or switch); outputs are byte-identical either way")
+		"collect opcode and opcode-pair dispatch histograms from the Execute benchmarks and record them in the snapshot")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the benchmark run to this file")
 	memProfile := flag.String("memprofile", "", "write an allocation profile to this file at exit")
 	flag.Parse()
@@ -231,14 +222,6 @@ func main() {
 	}
 	if fuel != exec.FuelAuto {
 		device.DefaultFuelModel = fuel
-	}
-	dispatch, err := exec.ParseDispatch(*dispatchFlag)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	if dispatch != exec.DispatchAuto {
-		device.DefaultDispatch = dispatch
 	}
 	diskStore, err := campaign.EnableStore(*storeDirFlag)
 	if err != nil {
@@ -449,17 +432,12 @@ func main() {
 	vmRuns, treeRuns, vmInstrs := exec.EngineCounters()
 	v1Runs, v1Instrs, v2Runs, v2Instrs := exec.FuelCounters()
 	fusedProgs, fusedBefore, fusedAfter := code.FuseStats()
-	swRuns, thRuns := exec.DispatchCounters()
 	poolHits, poolMisses := exec.DefaultPool().Counters()
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	effFuel := fuel
 	if effFuel == exec.FuelAuto {
 		effFuel = device.DefaultFuelModel
-	}
-	effDispatch := dispatch
-	if effDispatch == exec.DispatchAuto {
-		effDispatch = device.DefaultDispatch
 	}
 	fmt.Fprintf(os.Stderr, "%-28s %14d hits %12d misses %10d entries\n", "FrontCache", fcHits, fcMisses, fcSize)
 	fmt.Fprintf(os.Stderr, "%-28s %14d hits %12d misses %10d entries\n", "BackCache", bcHits, bcMisses, bcSize)
@@ -469,7 +447,6 @@ func main() {
 	fmt.Fprintf(os.Stderr, "%-28s %14d vm %12d tree %10d vm-instrs\n", "Engine", vmRuns, treeRuns, vmInstrs)
 	fmt.Fprintf(os.Stderr, "%-28s %14d v1-runs %12d v2-runs %10d v2-instrs\n", "Fuel", v1Runs, v2Runs, v2Instrs)
 	fmt.Fprintf(os.Stderr, "%-28s %14d fused %12d before %10d after\n", "Fusion", fusedProgs, fusedBefore, fusedAfter)
-	fmt.Fprintf(os.Stderr, "%-28s %14d switch %12d threaded\n", "Dispatch", swRuns, thRuns)
 	fmt.Fprintf(os.Stderr, "%-28s %14d hits %12d misses\n", "LaunchPool", poolHits, poolMisses)
 	fmt.Fprintf(os.Stderr, "%-28s %14d mallocs %12d gc-cycles %10d pause-ns\n", "GC", ms.Mallocs, ms.NumGC, ms.PauseTotalNs)
 	var opSection *opStatsSection
@@ -509,9 +486,6 @@ func main() {
 		FusedPrograms:          fusedProgs,
 		FusedInstrsBefore:      fusedBefore,
 		FusedInstrsAfter:       fusedAfter,
-		Dispatch:               effDispatch.String(),
-		SwitchLaunches:         swRuns,
-		ThreadedLaunches:       thRuns,
 		PoolHits:               poolHits,
 		PoolMisses:             poolMisses,
 		TotalAllocBytes:        ms.TotalAlloc,

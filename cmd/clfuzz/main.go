@@ -43,8 +43,6 @@ func main() {
 		"evaluation engine: vm, tree, or auto (the tree engine collects no coverage, degrading the loop to pure swarm-random generation)")
 	fuelFlag := flag.String("fuel", "auto",
 		"fuel model: v1 (per-instruction), v2 (per-superinstruction on the fused VM program), or auto (CLFUZZ_FUEL or v1)")
-	dispatchFlag := flag.String("dispatch", "auto",
-		"VM dispatch mode: switch, threaded (pre-resolved handler closures), or auto (CLFUZZ_DISPATCH or switch); outputs are byte-identical either way")
 	storeDir := flag.String("store", "",
 		"disk-backed result store directory shared across processes (default $CLFUZZ_STORE; empty disables)")
 	flag.Parse()
@@ -59,13 +57,6 @@ func main() {
 	}
 	if fuel != exec.FuelAuto {
 		device.DefaultFuelModel = fuel
-	}
-	dispatch, err := exec.ParseDispatch(*dispatchFlag)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if dispatch != exec.DispatchAuto {
-		device.DefaultDispatch = dispatch
 	}
 	if _, err := campaign.EnableStore(*storeDir); err != nil {
 		log.Fatal(err)

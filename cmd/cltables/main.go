@@ -94,8 +94,6 @@ func main() {
 		"evaluation engine for every campaign launch: vm, tree, or auto (campaign output is byte-identical either way)")
 	fuelFlag := flag.String("fuel", "auto",
 		"fuel model for every campaign launch: v1 (per-instruction, tree-exact), v2 (per-superinstruction on the fused VM program), or auto (CLFUZZ_FUEL or v1); campaign output is byte-identical unless a kernel times out")
-	dispatchFlag := flag.String("dispatch", "auto",
-		"VM dispatch mode for every campaign launch: switch, threaded (pre-resolved handler closures), or auto (CLFUZZ_DISPATCH or switch); campaign output is byte-identical either way")
 	storeDir := flag.String("store", "",
 		"disk-backed result store directory shared by shard workers, fleet runs and reruns (default $CLFUZZ_STORE; empty disables); campaign output is byte-identical with or without it")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -112,13 +110,6 @@ func main() {
 	}
 	if fuel != exec.FuelAuto {
 		device.DefaultFuelModel = fuel
-	}
-	dispatch, err := exec.ParseDispatch(*dispatchFlag)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if dispatch != exec.DispatchAuto {
-		device.DefaultDispatch = dispatch
 	}
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -210,7 +201,6 @@ func main() {
 			noSpeculate: *noSpeculate,
 			engine:      *engineFlag,
 			fuel:        *fuelFlag,
-			dispatch:    *dispatchFlag,
 			store:       *storeDir,
 		}); err != nil {
 			log.Fatal(err)
@@ -328,7 +318,6 @@ type fleetOptions struct {
 	noSpeculate bool
 	engine      string
 	fuel        string
-	dispatch    string
 	store       string
 }
 
@@ -360,7 +349,6 @@ func runFleet(ctx context.Context, p harness.Params, o fleetOptions) error {
 			"-fresh="+fmt.Sprint(p.Fresh),
 			"-engine", o.engine,
 			"-fuel", o.fuel,
-			"-dispatch", o.dispatch,
 			"-store", o.store,
 			"-shard", fmt.Sprintf("%d/%d", shard, of),
 			"-out", outPath)

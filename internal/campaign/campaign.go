@@ -192,12 +192,6 @@ type LaunchOptions struct {
 	// device.DefaultFuelModel. The resolved model is part of the
 	// result-cache key, so fuel/v1 and fuel/v2 results never alias.
 	FuelModel exec.FuelModel
-	// Dispatch forces the VM dispatch mode; DispatchAuto defers to
-	// device.DefaultDispatch. Dispatch is observation-free (outputs, fuel
-	// totals and outcomes are byte-identical across modes, pinned by the
-	// dispatch determinism suites), so unlike the fuel model it does not
-	// enter the result-cache key.
-	Dispatch exec.Dispatch
 	// Ctx cancels the launch cooperatively: a cancelled context skips the
 	// compile/execute chain (or stops an in-flight execution at the next
 	// work-group boundary) and yields a device.Canceled result, which is
@@ -292,7 +286,6 @@ func (e *Engine) runUnit(cfg *device.Config, optimize bool, fe *device.FrontEnd,
 		Workers:    o.Workers,
 		Engine:     o.Engine,
 		FuelModel:  o.FuelModel,
-		Dispatch:   o.Dispatch,
 		Ctx:        o.Ctx,
 		Cover:      launchCov,
 		Pool:       e.Pool,

@@ -100,6 +100,13 @@ func streamWith[R any](ctx context.Context, workers, n int, work func(i int) R, 
 	go func() {
 	dispatch:
 		for i := 0; i < n; i++ {
+			// select picks at random among ready cases, so an idle
+			// worker could still win against an already-cancelled
+			// context; check first so a fired cancellation hands out
+			// nothing more.
+			if ctx.Err() != nil {
+				break
+			}
 			select {
 			case jobs <- i:
 			case <-ctx.Done():

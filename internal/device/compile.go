@@ -83,11 +83,6 @@ type Kernel struct {
 	// back-end artifact) the fuel/v2 superinstruction form of Code. Nil
 	// exactly when Code is nil.
 	fused func() *code.Program
-	// threaded and threadedFused lazily derive the direct-threaded handler
-	// forms of Code and of the fused program, memoized in the shared
-	// back-end artifact like fused. Nil exactly when Code is nil.
-	threaded      func() *exec.ThreadedProgram
-	threadedFused func() *exec.ThreadedProgram
 }
 
 // FusedCode returns the fuel/v2 superinstruction form of the kernel's
@@ -137,28 +132,6 @@ func init() {
 	}
 	if fm != exec.FuelAuto {
 		DefaultFuelModel = fm
-	}
-}
-
-// DefaultDispatch is the process-wide VM dispatch mode applied when
-// RunOptions.Dispatch is DispatchAuto: the switch loop by default, so
-// every existing suite and table is untouched. The CLFUZZ_DISPATCH
-// environment variable ("switch" or "threaded") overrides it at startup
-// — how CI's threaded-dispatch determinism job pins the handler loop —
-// and the campaign binaries expose it as a -dispatch flag. Dispatch is
-// observation-free: outputs, fuel totals and outcomes are byte-identical
-// across modes.
-var DefaultDispatch = exec.DispatchAuto
-
-func init() {
-	d, err := exec.ParseDispatch(os.Getenv("CLFUZZ_DISPATCH"))
-	if err != nil {
-		// Same reasoning as CLFUZZ_ENGINE: a misspelled override must not
-		// silently run the wrong dispatch mode under a determinism suite.
-		panic("device: bad CLFUZZ_DISPATCH: " + err.Error())
-	}
-	if d != exec.DispatchAuto {
-		DefaultDispatch = d
 	}
 }
 
@@ -219,16 +192,14 @@ func (c *Config) compileFE(fe *FrontEnd, optimize bool, bc *BackCache) CompileRe
 	return CompileResult{
 		Outcome: OK,
 		Kernel: &Kernel{
-			Config:        c,
-			Optimized:     optimize,
-			Prog:          be.prog,
-			Info:          be.info,
-			Code:          be.code,
-			Hash:          fe.Hash,
-			level:         lvl,
-			fused:         be.fused,
-			threaded:      be.threaded,
-			threadedFused: be.threadedFused,
+			Config:    c,
+			Optimized: optimize,
+			Prog:      be.prog,
+			Info:      be.info,
+			Code:      be.code,
+			Hash:      fe.Hash,
+			level:     lvl,
+			fused:     be.fused,
 		},
 	}
 }
@@ -265,13 +236,15 @@ type RunOptions struct {
 	Engine exec.Engine
 	// FuelModel selects the fuel-accounting model; FuelAuto (the zero
 	// value) defers to DefaultFuelModel. fuel/v1 charges tree-exact
-	// costs; fuel/v2 runs the fused superinstruction program and charges
-	// one unit per dispatch. Outputs are identical across models
-	// whenever neither times out; the Timeout frontier differs, so each
-	// model is only byte-identical to itself. Kernels without lowered
-	// bytecode (and launches forced onto the tree engine) execute the
-	// tree walk with v1 accounting regardless — deterministically, since
-	// the model resolution depends only on options and the kernel.
+	// costs; fuel/v2 runs the fused superinstruction program, charging
+	// each superinstruction the conserved summed cost of the sequence it
+	// replaced, so fuel totals and Timeout outcomes match fuel/v1.
+	// Outputs differ only in the partial buffer contents of a launch
+	// whose timeout lands inside a fused sequence; the model is still
+	// part of the result identity. Kernels without lowered bytecode (and
+	// launches forced onto the tree engine) execute the tree walk with
+	// v1 accounting regardless — deterministically, since the model
+	// resolution depends only on options and the kernel.
 	FuelModel exec.FuelModel
 	// Ctx cancels the launch cooperatively at work-group boundaries; a
 	// launch stopped this way reports the Canceled outcome. nil runs to
@@ -286,13 +259,6 @@ type RunOptions struct {
 	// dispatch histograms for the launch (clbench -opstats). Observation
 	// only, VM only, like Cover.
 	OpStats *exec.OpStats
-	// Dispatch selects the VM dispatch mode; DispatchAuto (the zero
-	// value) defers to DefaultDispatch. Under DispatchThreaded, launches
-	// of lowered kernels run the direct-threaded handler loop with the
-	// memoized handler program matching the selected fuel model's code;
-	// outputs, fuel totals and outcomes are byte-identical to the switch
-	// loop.
-	Dispatch exec.Dispatch
 	// Pool selects the executor launch-state pool this run recycles its
 	// working set through; nil uses the executor's process-wide pool.
 	// Pooling is observation-free.
@@ -336,24 +302,8 @@ func (k *Kernel) Run(nd exec.NDRange, args exec.Args, result *exec.Buffer, ro Ru
 	// unchanged dispatch loop. Tree-engine launches (forced, or lowering
 	// fallback) keep v1 accounting.
 	kcode := k.Code
-	fused := fm == exec.FuelV2 && kcode != nil && engine != exec.EngineTree
-	if fused {
+	if fm == exec.FuelV2 && kcode != nil && engine != exec.EngineTree {
 		kcode = k.fused()
-	}
-	dispatch := ro.Dispatch
-	if dispatch == exec.DispatchAuto {
-		dispatch = DefaultDispatch
-	}
-	// Threaded dispatch hands the executor the memoized handler program
-	// built from the exact instruction stream it will run — the fused
-	// form under fuel/v2, the raw lowering otherwise.
-	var threaded *exec.ThreadedProgram
-	if dispatch == exec.DispatchThreaded && kcode != nil {
-		if fused {
-			threaded = k.threadedFused()
-		} else {
-			threaded = k.threaded()
-		}
 	}
 	opts := exec.Options{
 		Defects:    lvl.Defects,
@@ -375,8 +325,6 @@ func (k *Kernel) Run(nd exec.NDRange, args exec.Args, result *exec.Buffer, ro Ru
 		HasFwdDecl: k.Info.HasFwdDecl,
 		Cover:      ro.Cover,
 		OpStats:    ro.OpStats,
-		Dispatch:   dispatch,
-		Threaded:   threaded,
 		Pool:       ro.Pool,
 	}
 	err := exec.Run(k.Prog, nd, args, opts)
@@ -413,10 +361,12 @@ func (k *Kernel) Run(nd exec.NDRange, args exec.Args, result *exec.Buffer, ro Ru
 // clean for every configuration they document, so that the documented
 // deterministic defect — not a coincidental hash-gated crash — is what a
 // run observes. Gates key on the canonical normal form of the source,
-// exactly as the compile and launch paths do.
+// exactly as the compile and launch paths do, and read it through the
+// same front-end cache: exhibit tuning asks about each candidate source
+// on several configurations, which would otherwise re-parse it each time.
 func (c *Config) GatesClean(src string, optimize bool) bool {
 	lvl := c.Level(optimize)
-	h := bugs.Hash(CanonicalSource(src))
+	h := DefaultFrontCache.Get(src).Hash
 	for _, g := range []struct {
 		salt uint64
 		div  uint64

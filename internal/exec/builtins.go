@@ -396,7 +396,7 @@ func (t *thread) evalUserCall(ex *ast.Call, out *Value) error {
 	if !ok {
 		return fmt.Errorf("exec: call to undefined function %q", ex.Name)
 	}
-	if t.depth >= 64 {
+	if t.depth >= maxCallDepth {
 		return &CrashError{Msg: "call stack overflow"}
 	}
 	// The callee frame is built while the caller's scope stays installed:

@@ -9,6 +9,10 @@ import (
 	"clfuzz/internal/code"
 )
 
+// maxCallDepth bounds user-function call nesting on both engines; a call
+// at this depth fails with a "call stack overflow" CrashError.
+const maxCallDepth = 64
+
 // thread is the execution state of one work-item.
 type thread struct {
 	m     *Machine

@@ -134,19 +134,6 @@ type Options struct {
 	// pool; embedders that want memory isolation pass their own. Pooling
 	// is observation-free: outputs are byte-identical with any pool.
 	Pool *LaunchPool
-	// Dispatch selects the VM dispatch mode. DispatchThreaded runs the
-	// direct-threaded loop (see vmthread.go) when Threaded matches Code;
-	// anything else — including a missing or mismatched Threaded, or an
-	// OpStats collection request, which only the switch loop implements —
-	// runs the switch loop. Dispatch is observation-free: outputs, fuel
-	// and verdicts are byte-identical across modes.
-	Dispatch Dispatch
-	// Threaded is the direct-threaded form of Code (built by Thread,
-	// memoized by the embedding layer beside the program). It is only
-	// consulted under DispatchThreaded and must wrap the exact Program in
-	// Code; a mismatch falls back to the switch loop rather than running
-	// handlers against the wrong instruction stream.
-	Threaded *ThreadedProgram
 }
 
 // Stats reports execution cost measurements, used to calibrate the fuel
@@ -315,10 +302,6 @@ type Machine struct {
 	// a serial launch (all groups run on the calling goroutine), so the
 	// VM stacks amortize across the whole launch.
 	vmSerial *vmState
-	// threaded is the direct-threaded form of code when this launch
-	// dispatches through pre-resolved handlers (nil for the switch loop;
-	// see vmthread.go).
-	threaded *ThreadedProgram
 
 	// sequential marks the per-group goroutine-free fast path: barrier-free
 	// kernels (or single-thread work-groups) with race checking off run
@@ -493,14 +476,6 @@ func Run(prog *ast.Program, nd NDRange, args Args, opts Options) (err error) {
 	if opts.Code != nil && opts.Engine != EngineTree {
 		m.code = opts.Code
 		m.vmSerial = &state.serialVM
-		// Direct-threaded dispatch needs a handler program built from this
-		// exact instruction stream; opcode histograms are a switch-loop-only
-		// observation, so an OpStats request also pins the switch loop.
-		if opts.Dispatch == DispatchThreaded && opts.Threaded != nil &&
-			opts.Threaded.p == opts.Code && opts.OpStats == nil {
-			m.threaded = opts.Threaded
-			threadedLaunches.Add(1)
-		}
 		vmLaunches.Add(1)
 		if opts.FuelModel == FuelV2 {
 			vmLaunchesV2.Add(1)

@@ -182,7 +182,7 @@ func (p *LaunchPool) put(st *launchState) {
 // retention is O(working set).)
 func (st *launchState) scrub() {
 	m := &st.m
-	m.prog, m.kernel, m.code, m.threaded = nil, nil, nil, nil
+	m.prog, m.kernel, m.code = nil, nil, nil
 	m.args = nil
 	m.opts = Options{}
 	clear(m.globals)
@@ -244,7 +244,6 @@ func (st *launchState) reset() {
 		clear(m.funcs)
 	}
 	m.code = nil
-	m.threaded = nil
 	m.globalCells = m.globalCells[:0]
 	m.vmSerial = nil
 	m.interGroup = nil

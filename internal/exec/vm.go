@@ -151,9 +151,6 @@ type vmFrame struct {
 	retPC    int
 	retDst   int32
 	iterBase int
-	// retH is the caller's continuation entry under direct-threaded
-	// dispatch (see vmthread.go); the switch loop leaves it nil.
-	retH *vmEntry
 }
 
 // vmPending is a callee frame under construction: OpCallPrep allocates
@@ -176,9 +173,6 @@ type vmState struct {
 	slotStack []*Cell
 	frames    []vmFrame
 	pending   []vmPending
-	// ts is the direct-threaded dispatcher's shared mutable state,
-	// embedded here so a threaded launch allocates nothing extra.
-	ts vmTState
 }
 
 func (vm *vmState) reset() {
@@ -249,12 +243,7 @@ func (t *thread) runVMKernel() error {
 	vm.frames = append(vm.frames, vmFrame{
 		fn: kf, slots: slots, slotBase: slotBase, retPC: -1, retDst: -1,
 	})
-	var err error
-	if t.m.threaded != nil {
-		err = t.vmThreadedLoop(vm)
-	} else {
-		err = t.vmLoop(vm)
-	}
+	err := t.vmLoop(vm)
 	vmInstructions.Add(t.vmInstrs)
 	if t.m.opts.FuelModel == FuelV2 {
 		vmInstructionsV2.Add(t.vmInstrs)
@@ -654,7 +643,7 @@ func (t *thread) vmLoop(vm *vmState) error {
 			}
 
 		case code.OpCallPrep:
-			if t.depth >= 64 {
+			if t.depth >= maxCallDepth {
 				return &CrashError{Msg: "call stack overflow"}
 			}
 			fn := t.m.code.Fns[in.A]

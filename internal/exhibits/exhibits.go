@@ -3,7 +3,6 @@ package exhibits
 import (
 	"fmt"
 
-	"clfuzz/internal/bugs"
 	"clfuzz/internal/campaign"
 	"clfuzz/internal/cltypes"
 	"clfuzz/internal/device"
@@ -100,7 +99,7 @@ func (e *Exhibit) tune() {
 		if !device.ByID(1).GatesClean(src, true) {
 			return false
 		}
-		if e.ID == "2e" && !opt.GroupIDGate(bugs.Hash(device.CanonicalSource(src))) {
+		if e.ID == "2e" && !opt.GroupIDGate(device.DefaultFrontCache.Get(src).Hash) {
 			return false
 		}
 		return true

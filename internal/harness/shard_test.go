@@ -142,56 +142,6 @@ func TestFuelV2CampaignDeterminism(t *testing.T) {
 	}
 }
 
-// TestThreadedDispatchCampaignDeterminism pins the dispatch contract at
-// campaign scale, and with a stronger bar than the fuel-model suite:
-// dispatch is observation-free, so with the process default flipped to
-// the direct-threaded loop, a Table 5 campaign — and its 2-shard
-// merge — must render byte-identical to the reference produced under
-// the switch loop. Launches running through different dispatch modes
-// share result-cache entries (LaunchOptions deliberately omits the mode
-// from the key), so any divergence would also poison the cache; byte
-// identity here pins both properties at once. CI additionally re-runs
-// the whole shard/merge and fleet suites with CLFUZZ_DISPATCH=threaded
-// set process-wide.
-func TestThreadedDispatchCampaignDeterminism(t *testing.T) {
-	armImmutableAssert(t)
-	p := Params{Table: 5, Scale: 2, Seed: 99, Threads: 24, Fuel: DefaultFuelParam()}
-	saved := device.DefaultDispatch
-	device.DefaultDispatch = exec.DispatchSwitch
-	t.Cleanup(func() { device.DefaultDispatch = saved })
-	ref, err := renderCampaign(nil, freshEngine(false), p)
-	if err != nil {
-		t.Fatalf("switch reference: %v", err)
-	}
-	device.DefaultDispatch = exec.DispatchThreaded
-	got, err := renderCampaign(nil, freshEngine(true), p)
-	if err != nil {
-		t.Fatalf("threaded run: %v", err)
-	}
-	if got != ref {
-		t.Fatalf("threaded campaign differs from the switch reference:\n%s\n--- vs ---\n%s", got, ref)
-	}
-	_, thBefore := exec.DispatchCounters()
-	files := make([]*ShardFile, 2)
-	for s := range files {
-		sf, err := runShard(nil, freshEngine(true), p, s, 2, ShardRunOptions{})
-		if err != nil {
-			t.Fatalf("shard %d/2: %v", s, err)
-		}
-		files[s] = sf
-	}
-	merged, err := mergeShards(freshEngine(true), files, nil)
-	if err != nil {
-		t.Fatalf("merge: %v", err)
-	}
-	if merged != ref {
-		t.Fatalf("threaded 2-shard merge differs from the switch reference:\n%s\n--- vs ---\n%s", merged, ref)
-	}
-	if _, thAfter := exec.DispatchCounters(); thAfter == thBefore {
-		t.Fatal("the threaded campaign never ran the threaded loop")
-	}
-}
-
 // TestShardMergeRejectsBadSets: incomplete, duplicated or mismatched
 // shard sets must be refused — with errors precise enough to name the
 // offending file and case — not silently merged.
